@@ -42,6 +42,15 @@ let worker_flag : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let in_worker () = Domain.DLS.get worker_flag
 
+(* Systhreads sharing a domain only switch on a blocking call or the
+   runtime's 50 ms tick, so a long CPU-bound search would hold off every
+   other thread of its domain (the daemon's connection threads) that
+   long.  Yielding at the search's natural boundaries bounds that wait
+   by the distance between checkpoints.  [Thread.yield] returns at once
+   when no other thread of the domain waits; pool workers run no other
+   threads, so they skip even that. *)
+let checkpoint () = if not (Domain.DLS.get worker_flag) then Thread.yield ()
+
 (* Set on the calling domain for the duration of a batch it drives, so a
    nested [map] reached from inside its own chunk work degrades to
    sequential instead of re-entering the engine (the pool does not
@@ -151,7 +160,8 @@ let run_batch_chunks b =
         Mutex.lock lock;
         Condition.broadcast batch_done;
         Mutex.unlock lock
-      end
+      end;
+      checkpoint ()
     end
   done
 
@@ -251,7 +261,13 @@ let map ?jobs:j ?chunk f arr =
     let k = Int.min k n in
     if k <= 1 || must_run_sequentially () then begin
       Tf_obs.Counter.incr m_seq_fallbacks;
-      Array.map f arr
+      (* Each element is a one-element chunk of the calling domain. *)
+      Array.map
+        (fun x ->
+          let y = f x in
+          checkpoint ();
+          y)
+        arr
     end
     else begin
       let chunk_size =

@@ -48,6 +48,17 @@ val in_worker : unit -> bool
 (** True when the calling domain is one of the pool's workers (in which
     case [map] runs sequentially). *)
 
+val checkpoint : unit -> unit
+(** A cooperative yield point for long CPU-bound loops.  On any domain
+    that is not a pool worker it calls [Thread.yield ()], letting the
+    other threads of that domain (a daemon's connection threads) run
+    without waiting for the runtime's 50 ms tick; when none is waiting
+    it returns at once.  No-op on pool workers.  [map] calls it after
+    each chunk the calling domain runs, and after each element when it
+    runs sequentially; a thread of the same domain that calls [map]
+    meanwhile runs its map sequentially (the domain is already driving
+    a batch), so results are unchanged. *)
+
 val map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map f arr] evaluates [f] on every element across the pool and
     returns the results in input order.  [?jobs] caps the parallelism

@@ -372,6 +372,21 @@ type hint = { hint_partition : Partition.t option; hint_order : int list }
 
 let hint_of (t : t) = { hint_partition = t.partition; hint_order = t.order }
 
+(* The constrained bipartitions (paper Section 4.1) and the bounded
+   topological orders are pure functions of the DAG's structure and the
+   two enumeration limits, while one cold request schedules the same few
+   shapes over and over under different loads (the attention and FFN
+   cascades: 29 nodes/34 edges with 31 bipartitions, 12 nodes/15 edges
+   with 36).  Enumerate them once per shape. *)
+let shape_memo :
+    (int list * (int * int) list * int * int, Partition.t list * int list list) Tf_parallel.Memo.t =
+  Tf_parallel.Memo.create ~size:16 ~name:"dpipe.shape" ~max_entries:64 ()
+
+let shape ~partition_limit ~order_limit g =
+  Tf_parallel.Memo.find_or_compute shape_memo
+    (Dag.nodes g, Dag.edges g, partition_limit, order_limit)
+    (fun () -> (Partition.enumerate ~limit:partition_limit g, Topo.all ~limit:order_limit g))
+
 let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(order_limit = 4)
     ?(mode = `Dp) ?(verify = false) ?warm arch ~load ~matrix g =
   if Dag.node_count g = 0 then invalid_arg "Dpipe.schedule: empty DAG";
@@ -386,7 +401,7 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
       ]
     "dpipe.schedule"
   @@ fun () ->
-  let partitions = Partition.enumerate ~limit:partition_limit g in
+  let partitions, orders = shape ~partition_limit ~order_limit g in
   (* Rank bipartitions by stage load balance and evaluate only the best
      few: the steady interval of a two-stage pipeline is bounded below by
      its heavier stage. *)
@@ -404,7 +419,6 @@ let schedule ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16) ?(or
     |> List.map (fun p -> Some p)
   in
   let candidates = match selected with [] -> [ None ] | l -> l in
-  let orders = Topo.all ~limit:order_limit g in
   let ctx = build_ctx arch ~load ~matrix ~mode g in
   let pairs =
     Array.of_list
@@ -566,15 +580,16 @@ let pp ppf t =
     t.assignments
 
 module Private = struct
+  let clear_shape_memo () = Tf_parallel.Memo.clear shape_memo
+
   let steady_consistency_check ?(epochs = 8) ?(partition_limit = 512) ?(eval_partitions = 16)
       ?(order_limit = 4) ?(mode = `Dp) arch ~load ~matrix g =
     let ctx = build_ctx arch ~load ~matrix ~mode g in
-    let partitions = Partition.enumerate ~limit:partition_limit g in
+    let partitions, orders = shape ~partition_limit ~order_limit g in
     let selected =
       List.filteri (fun i _ -> i < eval_partitions) partitions |> List.map (fun p -> Some p)
     in
     let candidates = match selected with [] -> [ None ] | l -> l in
-    let orders = Topo.all ~limit:order_limit g in
     let eh = Int.max 1 (epochs / 2) in
     List.for_all
       (fun partition ->

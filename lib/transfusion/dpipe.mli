@@ -156,6 +156,11 @@ end
 
 (** Testing hooks — not part of the stable API. *)
 module Private : sig
+  val clear_shape_memo : unit -> unit
+  (** Empty the per-shape memo of bipartitions and topological orders
+      that [schedule] consults (metric [memo.dpipe.shape.*]), so the
+      next call over any DAG is a miss. *)
+
   val steady_consistency_check :
     ?epochs:int ->
     ?partition_limit:int ->

@@ -105,6 +105,7 @@ let search ?(exploration = Float.sqrt 2.) ?transposition ?probe ~rng ~iterations
         rollout (pick :: path_rev)
   in
   for iteration = 1 to iterations do
+    Tf_parallel.checkpoint ();
     Tf_obs.Counter.incr m_rollouts;
     (* Selection: walk UCB1-best children while fully expanded. *)
     let rec select node path_rev trail =

@@ -264,6 +264,9 @@ let memoize_cost ?hits ?misses f =
     | None ->
         Tf_obs.Counter.incr m_memo_misses;
         bump misses;
+        (* Every miss runs a full scorer pass; yielding here bounds how
+           long the seeding stretch before MCTS holds the domain. *)
+        Tf_parallel.checkpoint ();
         let v = f c in
         Hashtbl.add tbl c v;
         v

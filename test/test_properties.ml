@@ -367,6 +367,30 @@ let test_dpipe_warm_equals_cold () =
   Qgen.run ~count:50 ~shrink:shrink_dpipe_case ~print:print_dpipe_case ~gen:dpipe_case
     "warm-hinted DPipe returns the cold schedule bit-for-bit" prop_dpipe_warm_equals_cold
 
+(* The per-shape memo of bipartitions and topological orders only saves
+   their enumeration: a schedule built from a memo hit must equal the
+   one built from the miss that filled it, winner included. *)
+let shape_counter name =
+  Option.value ~default:0
+    (Tf_obs.counter_value (Tf_obs.snapshot ()) (Printf.sprintf "memo.dpipe.shape.%s_total" name))
+
+let prop_dpipe_shape_memo_transparent (c : dpipe_case) =
+  let load n = c.loads.(n) and matrix n = c.matrix_mask.(n) in
+  Dpipe.Private.clear_shape_memo ();
+  let misses0 = shape_counter "misses" and hits0 = shape_counter "hits" in
+  let miss = Dpipe.schedule c.arch ~load ~matrix c.g in
+  let hit = Dpipe.schedule c.arch ~load ~matrix c.g in
+  if shape_counter "misses" - misses0 <> 1 || shape_counter "hits" - hits0 <> 1 then
+    Alcotest.fail "expected one shape-memo miss, then one hit";
+  (* Structural equality covers the winning (partition, order) too. *)
+  if miss <> hit then Alcotest.fail "the shape-memo hit changed the schedule"
+
+let test_dpipe_shape_memo_transparent () =
+  Tf_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) @@ fun () ->
+  Qgen.run ~shrink:shrink_dpipe_case ~print:print_dpipe_case ~gen:dpipe_case
+    "DPipe over a shape-memo hit equals the miss" prop_dpipe_shape_memo_transparent
+
 (* ------------------------------------------------------------------ *)
 (* The fast scorer equals the cold full-model path                     *)
 
@@ -438,5 +462,6 @@ let () =
           quick "tileseek warm equals cold" test_tileseek_warm_equals_cold;
           quick "transfusion warm equals cold" test_transfusion_warm_equals_cold;
           quick "dpipe warm equals cold" test_dpipe_warm_equals_cold;
+          quick "dpipe shape memo transparent" test_dpipe_shape_memo_transparent;
         ] );
     ]

@@ -224,6 +224,32 @@ let test_concurrent_single_flight () =
   Alcotest.(check int) "the schedule was computed exactly once" 1
     (counter "memo.serve.schedule.misses_total" - misses0)
 
+(* Two cold searches on one domain interleave at their yield points, and
+   whichever runs while the other drives a parallel batch falls back to
+   sequential maps.  Neither may change an answer: each reply must be
+   byte-identical to the same key answered alone by a cold process. *)
+let test_concurrent_cold_determinism () =
+  let requests =
+    [
+      {|{"op":"schedule","arch":"edge","model":"BERT","seq":4096,"batch":6,"strategy":"transfusion","iterations":200,"id":1}|};
+      {|{"op":"schedule","arch":"cloud","model":"XLM","seq":8192,"batch":6,"strategy":"transfusion","iterations":200,"id":2}|};
+    ]
+  in
+  let cold_server () =
+    Tf_experiments.Exp_common.reset_cache ();
+    mem_server ()
+  in
+  let alone = List.map (fun r -> Server.handle_line (cold_server ()) r) requests in
+  let t = cold_server () in
+  let together = Array.make (List.length requests) "" in
+  List.mapi (fun i r -> Thread.create (fun () -> together.(i) <- Server.handle_line t r) ()) requests
+  |> List.iter Thread.join;
+  List.iteri
+    (fun i reply ->
+      Alcotest.(check bool) "ok" true (is_ok (response_of reply));
+      Alcotest.(check string) "concurrent reply equals the reply alone" reply together.(i))
+    alone
+
 (* --- restart: disk tier rehydration ---------------------------------- *)
 
 let temp_dir prefix =
@@ -294,8 +320,9 @@ let test_bucketing () =
 
 (* --- sockets: a real daemon over a Unix socket ----------------------- *)
 
-let test_socket_round_trip () =
-  let dir = temp_dir "tf-serve-sock" in
+(* A daemon on a fresh Unix socket, serving from its own thread. *)
+let start_daemon prefix =
+  let dir = temp_dir prefix in
   let path = Filename.concat dir "tf.sock" in
   let t = Server.create { Server.default_config with socket_path = Some path } in
   let server_thread = Thread.create Server.serve t in
@@ -308,24 +335,38 @@ let test_socket_round_trip () =
       end
   in
   wait_for_socket 100;
-  let talk lines =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX path);
-    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-    let replies =
-      List.map
-        (fun line ->
-          output_string oc (line ^ "\n");
-          flush oc;
-          match In_channel.input_line ic with
-          | Some r -> r
-          | None -> Alcotest.fail "connection dropped")
-        lines
-    in
-    close_out oc;
-    replies
+  (path, server_thread)
+
+let connect path =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+
+let send (_, _, oc) line =
+  output_string oc (line ^ "\n");
+  flush oc
+
+let recv (_, ic, _) =
+  match In_channel.input_line ic with
+  | Some r -> r
+  | None -> Alcotest.fail "connection dropped"
+
+let talk path lines =
+  let conn = connect path in
+  let replies =
+    List.map
+      (fun line ->
+        send conn line;
+        recv conn)
+      lines
   in
-  (match talk [ {|{"op":"ping","id":9}|}; "garbage"; {|{"op":"ping"}|} ] with
+  let _, _, oc = conn in
+  close_out oc;
+  replies
+
+let test_socket_round_trip () =
+  let path, server_thread = start_daemon "tf-serve-sock" in
+  (match talk path [ {|{"op":"ping","id":9}|}; "garbage"; {|{"op":"ping"}|} ] with
   | [ a; b; c ] ->
       Alcotest.(check bool) "ping ok" true (is_ok (response_of a));
       Alcotest.(check bool) "id echoed over the wire" true
@@ -334,11 +375,46 @@ let test_socket_round_trip () =
       Alcotest.(check bool) "connection survives the garbage" true (is_ok (response_of c))
   | _ -> Alcotest.fail "wrong reply count");
   (* A second connection works; shutdown stops the daemon. *)
-  (match talk [ {|{"op":"shutdown"}|} ] with
+  (match talk path [ {|{"op":"shutdown"}|} ] with
   | [ r ] -> Alcotest.(check bool) "shutdown acknowledged" true (is_ok (response_of r))
   | _ -> Alcotest.fail "no shutdown reply");
   Thread.join server_thread;
   Alcotest.(check bool) "socket unlinked on exit" false (Sys.file_exists path)
+
+(* A warm hit must not wait for a cold search running on another
+   connection: the search yields at its checkpoints, so the hit's
+   connection thread gets the domain long before the search ends.
+   Without the yields a hit can wait for the runtime's 50 ms tick, so
+   the 20 hits do not all finish inside one cold search.  This checks
+   the order of the replies, not a wall-clock threshold. *)
+let test_hits_answered_during_cold_search () =
+  let path, server_thread = start_daemon "tf-serve-yield" in
+  let warm_request = sched_request ~batch:2 "edge" "T5" 1024 "unfused" in
+  let b = connect path in
+  send b warm_request;
+  Alcotest.(check bool) "pre-warm ok" true (is_ok (response_of (recv b)));
+  let misses0 = counter "memo.serve.schedule.misses_total" in
+  let a = connect path in
+  send a
+    {|{"op":"schedule","arch":"cloud","model":"Llama3","seq":16384,"batch":7,"strategy":"transfusion","iterations":200}|};
+  (* The cold search has started once its key missed the cache. *)
+  while counter "memo.serve.schedule.misses_total" = misses0 do
+    Thread.delay 0.001
+  done;
+  for _ = 1 to 20 do
+    send b warm_request;
+    Alcotest.(check bool) "hit ok" true (is_ok (response_of (recv b)))
+  done;
+  let a_fd, _, _ = a in
+  let cold_pending =
+    match Unix.select [ a_fd ] [] [] 0. with
+    | [], _, _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "all 20 hits answered before the cold search" true cold_pending;
+  Alcotest.(check bool) "cold search ok" true (is_ok (response_of (recv a)));
+  ignore (talk path [ {|{"op":"shutdown"}|} ] : string list);
+  Thread.join server_thread
 
 (* --- fuzz: mutated requests never kill the loop ----------------------- *)
 
@@ -416,9 +492,14 @@ let () =
       ( "cache",
         [
           quick "concurrent clients, one search" test_concurrent_single_flight;
+          quick "concurrent cold keys unchanged" test_concurrent_cold_determinism;
           quick "restart rehydrates from disk" test_restart_rehydration;
         ] );
       ("bucketing", [ quick "off-grid interpolation" test_bucketing ]);
-      ("sockets", [ quick "round trip and shutdown" test_socket_round_trip ]);
+      ( "sockets",
+        [
+          quick "round trip and shutdown" test_socket_round_trip;
+          quick "hits answered during a cold search" test_hits_answered_during_cold_search;
+        ] );
       ("fuzz", [ quick "mutations never crash" test_fuzz_mutations ]);
     ]

@@ -196,6 +196,29 @@ let test_layers_scaling () =
   Alcotest.(check bool) "4 layers ~ 4x one layer" true
     (Float.abs ((total four /. total one) -. 4.) < 0.05)
 
+(* One cold TransFusion evaluation schedules its fused-layer cascades
+   under ~20 different load profiles, but only two DAG shapes occur
+   (attention and FFN), so DPipe enumerates bipartitions and orders at
+   most twice and answers every other call from the shape memo. *)
+let test_dpipe_shape_memo () =
+  Tf_obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tf_obs.set_enabled false) @@ fun () ->
+  Strategies.reset_registries ();
+  Transfusion.Dpipe.Private.clear_shape_memo ();
+  let count name = Option.value ~default:0 (Tf_obs.counter_value (Tf_obs.snapshot ()) name) in
+  let schedules0 = count "dpipe.schedules_total"
+  and misses0 = count "memo.dpipe.shape.misses_total"
+  and hits0 = count "memo.dpipe.shape.hits_total" in
+  ignore
+    (Strategies.evaluate ~tileseek_iterations:60 Tf_arch.Presets.edge bert_4k Strategies.Transfusion
+      : Strategies.result);
+  let schedules = count "dpipe.schedules_total" - schedules0
+  and misses = count "memo.dpipe.shape.misses_total" - misses0
+  and hits = count "memo.dpipe.shape.hits_total" - hits0 in
+  Alcotest.(check bool) "at most one enumeration per DAG shape" true (misses >= 1 && misses <= 2);
+  Alcotest.(check int) "every other schedule call is a shape hit" (schedules - misses) hits;
+  Alcotest.(check bool) "the memo is exercised" true (hits > 0)
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "transfusion_strategies"
@@ -218,5 +241,6 @@ let () =
           quick "clock scaling" test_clock_scaling;
           quick "adaptive fusion scope" test_adaptive_fusion_scope;
           quick "layer-count linearity" test_layers_scaling;
+          quick "dpipe shape memo per cold evaluation" test_dpipe_shape_memo;
         ] );
     ]
